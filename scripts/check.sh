@@ -3,6 +3,8 @@
 # different things:
 #
 #   default   correctness (full suite, incl. the lint/lint_selftest tests)
+#             plus the figure2 and parallel bench-regression gates against
+#             the committed baselines in bench/baselines/
 #   analysis  static-analysis gate: regex lint (self-test + live, fallback
 #             rules auto-retired when clang++ is present) and the AST
 #             protocol analyzer (tools/elephant_analyze) — checker self-test
@@ -108,6 +110,13 @@ for preset in "${PRESETS[@]}"; do
     # batch serial, and batch PARALLEL 4, and must be byte-identical at the
     # same plan shape (order-insensitive across plan shapes).
     ctest --preset "$preset" -R "Batch" --output-on-failure
+  fi
+  if [ "$preset" = default ]; then
+    echo "=== [$preset] bench-regression gates (committed baselines) ==========="
+    # Rows and checksums exactly, modeled I/O within the baseline's stored
+    # tolerance, at the baseline's pinned scale factor.
+    python3 scripts/bench_regress.py figure2 --build-dir build
+    python3 scripts/bench_regress.py parallel --build-dir build
   fi
 done
 

@@ -52,6 +52,20 @@ Status AccumulateAt(const std::vector<AggSpec>& aggs, const AggInputVectors& v,
   return Status::OK();
 }
 
+/// Encodes the join key of one row from per-key value vectors (position
+/// `pos` of each). Returns false when any key value is NULL: NULL keys
+/// never join. With no key columns every row gets the empty key, so a
+/// keyless join is a cross product.
+bool EncodeJoinKeyAt(const std::vector<std::vector<Value>>& key_values,
+                     uint32_t pos, std::string* key) {
+  key->clear();
+  for (const std::vector<Value>& values : key_values) {
+    if (values[pos].is_null()) return false;
+    keycodec::Encode(values[pos], key);
+  }
+  return true;
+}
+
 }  // namespace
 
 // ---- Scans ----
@@ -410,6 +424,125 @@ Result<bool> BatchFinalAggregateExecutor::NextBatch(Batch* out) {
     ++emit_it_;
   }
   return out->num_rows() > 0;
+}
+
+// ---- Hash join ----
+
+BatchHashJoinExecutor::BatchHashJoinExecutor(BatchExecutorPtr outer,
+                                             BatchExecutorPtr inner,
+                                             std::vector<ExprPtr> outer_keys,
+                                             std::vector<ExprPtr> inner_keys,
+                                             ExprPtr residual, JoinBuildSide build)
+    : outer_(std::move(outer)),
+      inner_(std::move(inner)),
+      outer_keys_(std::move(outer_keys)),
+      inner_keys_(std::move(inner_keys)),
+      residual_(std::move(residual)),
+      build_(build) {
+  schema_ = Schema::Concat(outer_->OutputSchema(), inner_->OutputSchema());
+}
+
+Status BatchHashJoinExecutor::Init() {
+  ELE_RETURN_NOT_OK(outer_->Init());
+  ELE_RETURN_NOT_OK(inner_->Init());
+  BatchExecutor* build = build_outer() ? outer_.get() : inner_.get();
+  const std::vector<ExprPtr>& keys = build_outer() ? outer_keys_ : inner_keys_;
+  table_.Reset(build->OutputSchema().NumColumns());
+  key_values_.resize(keys.size());
+  Batch in;
+  while (true) {
+    ELE_ASSIGN_OR_RETURN(bool has, build->NextBatch(&in));
+    if (!has) break;
+    const std::vector<uint32_t> positions = in.ActiveIndices();
+    for (size_t k = 0; k < keys.size(); ++k) {
+      ELE_RETURN_NOT_OK(keys[k]->EvalBatch(in, positions, &key_values_[k]));
+    }
+    for (uint32_t pos : positions) {
+      if (EncodeJoinKeyAt(key_values_, pos, &key_)) {
+        table_.Insert(std::move(key_), &in, pos);
+      }
+    }
+  }
+  probe_pos_.clear();
+  probe_idx_ = 0;
+  match_ = JoinHashTable::kEnd;
+  return Status::OK();
+}
+
+Result<bool> BatchHashJoinExecutor::NextProbeBatch() {
+  BatchExecutor* probe = build_outer() ? inner_.get() : outer_.get();
+  const std::vector<ExprPtr>& keys = build_outer() ? inner_keys_ : outer_keys_;
+  do {
+    ELE_ASSIGN_OR_RETURN(bool has, probe->NextBatch(&probe_));
+    if (!has) return false;
+  } while (probe_.empty());
+  probe_pos_ = probe_.ActiveIndices();
+  key_values_.resize(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    ELE_RETURN_NOT_OK(keys[k]->EvalBatch(probe_, probe_pos_, &key_values_[k]));
+  }
+  probe_head_.resize(probe_pos_.size());
+  for (size_t i = 0; i < probe_pos_.size(); ++i) {
+    probe_head_[i] = EncodeJoinKeyAt(key_values_, probe_pos_[i], &key_)
+                         ? table_.Find(key_)
+                         : JoinHashTable::kEnd;
+  }
+  probe_idx_ = 0;
+  match_ = probe_head_[0];
+  return true;
+}
+
+Result<bool> BatchHashJoinExecutor::NextBatch(Batch* out) {
+  out->Reset(schema_.NumColumns());
+  while (true) {
+    // Collect up to one batch of (probe row, build row) matches. Pairs
+    // point into probe_, so they are emitted before the next probe batch
+    // is pulled.
+    out_probe_.clear();
+    out_build_.clear();
+    out_last_.clear();
+    while (out_probe_.size() < kBatchCapacity) {
+      if (probe_idx_ == probe_pos_.size()) {
+        if (!out_probe_.empty()) break;
+        ELE_ASSIGN_OR_RETURN(bool has, NextProbeBatch());
+        if (!has) return false;
+        continue;
+      }
+      if (match_ == JoinHashTable::kEnd) {
+        if (++probe_idx_ < probe_pos_.size()) match_ = probe_head_[probe_idx_];
+        continue;
+      }
+      out_probe_.push_back(probe_pos_[probe_idx_]);
+      out_build_.push_back(match_);
+      match_ = table_.NextMatch(match_);
+      out_last_.push_back(match_ == JoinHashTable::kEnd);
+    }
+    // Gather column by column into the outer ++ inner layout. A probe
+    // row's values move out at its last match (its chain has ended); build
+    // rows may match again and are copied.
+    const size_t probe_off = build_outer() ? table_.num_cols() : 0;
+    const size_t build_off = build_outer() ? 0 : probe_.num_cols();
+    for (size_t c = 0; c < probe_.num_cols(); ++c) {
+      std::vector<Value>& src = probe_.col(c);
+      std::vector<Value>& dst = out->col(probe_off + c);
+      dst.reserve(out_probe_.size());
+      for (size_t i = 0; i < out_probe_.size(); ++i) {
+        Value& v = src[out_probe_[i]];
+        dst.push_back(out_last_[i] ? std::move(v) : v);
+      }
+    }
+    for (size_t c = 0; c < table_.num_cols(); ++c) {
+      const std::vector<Value>& src = table_.col(c);
+      std::vector<Value>& dst = out->col(build_off + c);
+      dst.reserve(out_build_.size());
+      for (uint32_t r : out_build_) dst.push_back(src[r]);
+    }
+    out->SetRowCount(static_cast<uint32_t>(out_probe_.size()));
+    if (residual_ == nullptr) return true;
+    ELE_RETURN_NOT_OK(ApplyFilterToBatch(*residual_, out));
+    if (!out->empty()) return true;
+    out->Reset(schema_.NumColumns());
+  }
 }
 
 // ---- Adapters ----

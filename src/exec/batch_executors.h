@@ -11,6 +11,7 @@
 #include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
+#include "exec/join_executor.h"
 #include "exec/scan_executor.h"
 
 namespace elephant {
@@ -223,6 +224,49 @@ class BatchFinalAggregateExecutor final : public BatchExecutor {
   std::map<std::string, Group> groups_;
   std::map<std::string, Group>::iterator emit_it_;
   bool inited_ = false;
+};
+
+/// Batch twin of HashJoinExecutor: Init() drains the build input into a
+/// JoinHashTable (keys evaluated vectorized per batch), then NextBatch
+/// streams the probe input through it one batch at a time. Output = outer
+/// ++ inner whichever side is built, in the row operator's order: probe
+/// rows in stream order, each probe row's matches in build-input order. A
+/// probe row whose matches overflow one output batch continues in the next;
+/// the residual predicate narrows each output batch's selection.
+/// batch: this IS the vectorized hash join (row twin: HashJoinExecutor).
+class BatchHashJoinExecutor final : public BatchExecutor {
+ public:
+  BatchHashJoinExecutor(BatchExecutorPtr outer, BatchExecutorPtr inner,
+                        std::vector<ExprPtr> outer_keys,
+                        std::vector<ExprPtr> inner_keys, ExprPtr residual,
+                        JoinBuildSide build);
+
+  Status Init() override;
+  Result<bool> NextBatch(Batch* out) override;
+  const Schema& OutputSchema() const override { return schema_; }
+
+ private:
+  bool build_outer() const { return build_ == JoinBuildSide::kOuter; }
+  /// Pulls the next non-empty probe batch and looks up each live row's
+  /// chain head. False once the probe input is exhausted.
+  Result<bool> NextProbeBatch();
+
+  BatchExecutorPtr outer_, inner_;
+  std::vector<ExprPtr> outer_keys_, inner_keys_;
+  ExprPtr residual_;
+  JoinBuildSide build_;
+  Schema schema_;
+
+  JoinHashTable table_;
+  std::vector<std::vector<Value>> key_values_;  ///< scratch, one per key
+  std::string key_;                             ///< scratch
+  Batch probe_;
+  std::vector<uint32_t> probe_pos_;   ///< live physical rows of probe_
+  std::vector<uint32_t> probe_head_;  ///< first build match per live row
+  size_t probe_idx_ = 0;              ///< current index into probe_pos_
+  uint32_t match_ = JoinHashTable::kEnd;  ///< next build row for probe_idx_
+  std::vector<uint32_t> out_probe_, out_build_;  ///< scratch match pairs
+  std::vector<bool> out_last_;  ///< pair is its probe row's last match
 };
 
 /// Row-side adapter over a batch subtree: the fallback bridge that lets a

@@ -88,65 +88,111 @@ Result<bool> IndexNestedLoopJoinExecutor::Next(Row* out) {
   }
 }
 
-HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr left,
-                                   ExecutorPtr right, std::vector<ExprPtr> left_keys,
-                                   std::vector<ExprPtr> right_keys, ExprPtr residual)
-    : ctx_(ctx),
-      left_(std::move(left)),
-      right_(std::move(right)),
-      left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      residual_(std::move(residual)) {
-  schema_ = Schema::Concat(left_->OutputSchema(), right_->OutputSchema());
+void JoinHashTable::Reset(size_t num_cols) {
+  cols_.assign(num_cols, {});
+  next_.clear();
+  chains_.clear();
 }
 
-Result<std::string> HashJoinExecutor::EncodeKeys(const std::vector<ExprPtr>& exprs,
-                                                 const Row& row) {
-  std::string key;
+void JoinHashTable::Link(std::string key, uint32_t row) {
+  next_.push_back(kEnd);
+  auto [it, fresh] = chains_.try_emplace(std::move(key), Chain{row, row});
+  if (!fresh) {
+    next_[it->second.last] = row;
+    it->second.last = row;
+  }
+}
+
+void JoinHashTable::Insert(std::string key, Row* values) {
+  const auto row = static_cast<uint32_t>(next_.size());
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    cols_[c].push_back(std::move((*values)[c]));
+  }
+  Link(std::move(key), row);
+}
+
+void JoinHashTable::Insert(std::string key, Batch* batch, uint32_t pos) {
+  const auto row = static_cast<uint32_t>(next_.size());
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    cols_[c].push_back(std::move(batch->col(c)[pos]));
+  }
+  Link(std::move(key), row);
+}
+
+uint32_t JoinHashTable::Find(const std::string& key) const {
+  auto it = chains_.find(key);
+  return it == chains_.end() ? kEnd : it->second.first;
+}
+
+HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr outer,
+                                   ExecutorPtr inner, std::vector<ExprPtr> outer_keys,
+                                   std::vector<ExprPtr> inner_keys, ExprPtr residual,
+                                   JoinBuildSide build)
+    : ctx_(ctx),
+      outer_(std::move(outer)),
+      inner_(std::move(inner)),
+      outer_keys_(std::move(outer_keys)),
+      inner_keys_(std::move(inner_keys)),
+      residual_(std::move(residual)),
+      build_(build) {
+  schema_ = Schema::Concat(outer_->OutputSchema(), inner_->OutputSchema());
+}
+
+Result<bool> HashJoinExecutor::EncodeKeys(const std::vector<ExprPtr>& exprs,
+                                          const Row& row, std::string* key) {
+  key->clear();
   for (const ExprPtr& e : exprs) {
     ELE_ASSIGN_OR_RETURN(Value v, e->Eval(row));
-    if (v.is_null()) return std::string();  // NULL keys never join
-    keycodec::Encode(v, &key);
+    if (v.is_null()) return false;  // NULL keys never join
+    keycodec::Encode(v, key);
   }
-  return key;
+  return true;
 }
 
 Status HashJoinExecutor::Init() {
-  ELE_RETURN_NOT_OK(left_->Init());
-  ELE_RETURN_NOT_OK(right_->Init());
-  build_.clear();
-  probe_valid_ = false;
+  ELE_RETURN_NOT_OK(outer_->Init());
+  ELE_RETURN_NOT_OK(inner_->Init());
+  const bool build_outer = build_ == JoinBuildSide::kOuter;
+  Executor* build = build_outer ? outer_.get() : inner_.get();
+  const std::vector<ExprPtr>& build_keys = build_outer ? outer_keys_ : inner_keys_;
+  table_.Reset(build->OutputSchema().NumColumns());
+  match_ = JoinHashTable::kEnd;
   Row row;
+  std::string key;
   while (true) {
-    ELE_ASSIGN_OR_RETURN(bool has, right_->Next(&row));
+    ELE_ASSIGN_OR_RETURN(bool has, build->Next(&row));
     if (!has) break;
-    ELE_ASSIGN_OR_RETURN(std::string key, EncodeKeys(right_keys_, row));
-    if (key.empty() && !right_keys_.empty()) continue;  // NULL key
-    build_.emplace(std::move(key), row);
+    ELE_ASSIGN_OR_RETURN(bool joinable, EncodeKeys(build_keys, row, &key));
+    if (joinable) table_.Insert(std::move(key), &row);
   }
   return Status::OK();
 }
 
 Result<bool> HashJoinExecutor::Next(Row* out) {
+  const bool build_outer = build_ == JoinBuildSide::kOuter;
+  Executor* probe = build_outer ? inner_.get() : outer_.get();
+  const std::vector<ExprPtr>& probe_keys = build_outer ? inner_keys_ : outer_keys_;
+  std::string key;
   while (true) {
-    if (!probe_valid_) {
-      ELE_ASSIGN_OR_RETURN(bool has, left_->Next(&probe_row_));
+    if (match_ == JoinHashTable::kEnd) {
+      ELE_ASSIGN_OR_RETURN(bool has, probe->Next(&probe_row_));
       if (!has) return false;
-      ELE_ASSIGN_OR_RETURN(std::string key, EncodeKeys(left_keys_, probe_row_));
-      if (key.empty() && !left_keys_.empty()) continue;  // NULL key
-      matches_ = build_.equal_range(key);
-      probe_valid_ = true;
-    }
-    if (matches_.first == matches_.second) {
-      probe_valid_ = false;
+      ELE_ASSIGN_OR_RETURN(bool joinable, EncodeKeys(probe_keys, probe_row_, &key));
+      if (joinable) match_ = table_.Find(key);
       continue;
     }
-    const Row& build_row = matches_.first->second;
-    ++matches_.first;
+    const uint32_t build_row = match_;
+    match_ = table_.NextMatch(match_);
     out->clear();
-    out->reserve(probe_row_.size() + build_row.size());
+    out->reserve(probe_row_.size() + table_.num_cols());
+    auto append_build = [&] {
+      for (size_t c = 0; c < table_.num_cols(); ++c) {
+        out->push_back(table_.col(c)[build_row]);
+      }
+    };
+    if (build_outer) append_build();
     out->insert(out->end(), probe_row_.begin(), probe_row_.end());
-    out->insert(out->end(), build_row.begin(), build_row.end());
+    if (!build_outer) append_build();
     if (residual_ != nullptr) {
       ELE_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out));
       if (!pass) continue;

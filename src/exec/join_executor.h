@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
+#include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/expression.h"
 #include "exec/scan_executor.h"
@@ -32,8 +35,8 @@ struct InljBounds {
 /// the outer row, emitting outer ++ inner rows that pass the residual
 /// predicate. Every inner probe increments ExecCounters::index_seeks — the
 /// "context switches" the paper's Figure 4(b) optimization minimizes.
-/// batch: opt-out — joins are row-at-a-time; the planner calls
-/// EnsureRows() on every input before a join is built.
+/// batch: opt-out — row operator for now; the planner drops its outer input
+/// to rows (EnsureRows). A batch twin needs a forward-seeking leaf cursor.
 class IndexNestedLoopJoinExecutor final : public Executor {
  public:
   /// Inner = clustered index of `inner_table` when `inner_index` is null,
@@ -64,35 +67,79 @@ class IndexNestedLoopJoinExecutor final : public Executor {
   ExecutorPtr inner_scan_;
 };
 
-/// Hash join on equality keys: builds a hash table on the right child, then
-/// probes with the left. Output = left ++ right.
-/// batch: opt-out — joins are row-at-a-time (see
-/// IndexNestedLoopJoinExecutor).
+/// The input of an equi-join that a hash join builds its table on. The
+/// planner builds on the input with the smaller estimate, like the paper's
+/// commercial row store; the other input streams through as the probe side.
+/// Output columns are outer ++ inner whichever side is built.
+enum class JoinBuildSide { kInner, kOuter };
+
+/// Hash table over the build input of a hash join, shared by
+/// HashJoinExecutor and BatchHashJoinExecutor so both engines emit matches
+/// in the same order. Build rows are stored column-wise (no per-row `Row`
+/// objects); the rows of one key are chained in build-input order.
+class JoinHashTable {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  /// Drops all rows and re-shapes to `num_cols` columns.
+  void Reset(size_t num_cols);
+
+  /// Appends one build row under `key`; `values` are moved from.
+  void Insert(std::string key, Row* values);
+  /// Appends physical row `pos` of `batch` under `key` (values moved from).
+  void Insert(std::string key, Batch* batch, uint32_t pos);
+
+  /// First build row stored under `key`, or kEnd.
+  uint32_t Find(const std::string& key) const;
+  /// The build row after `row` under the same key, or kEnd.
+  uint32_t NextMatch(uint32_t row) const { return next_[row]; }
+
+  size_t num_cols() const { return cols_.size(); }
+  const std::vector<Value>& col(size_t c) const { return cols_[c]; }
+
+ private:
+  /// Links the row just appended (index `row`) into `key`'s chain.
+  void Link(std::string key, uint32_t row);
+
+  struct Chain {
+    uint32_t first;
+    uint32_t last;
+  };
+  std::vector<std::vector<Value>> cols_;
+  std::vector<uint32_t> next_;
+  std::unordered_map<std::string, Chain> chains_;
+};
+
+/// Hash join on equality keys: builds a JoinHashTable on one input (see
+/// JoinBuildSide), then streams the other through it. Output = outer ++
+/// inner; rows come in probe-stream order, and a probe row's matches in
+/// build-input order.
+/// batch: twin BatchHashJoinExecutor (batch_executors.h).
 class HashJoinExecutor final : public Executor {
  public:
-  HashJoinExecutor(ExecContext* ctx, ExecutorPtr left, ExecutorPtr right,
-                   std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
-                   ExprPtr residual);
+  HashJoinExecutor(ExecContext* ctx, ExecutorPtr outer, ExecutorPtr inner,
+                   std::vector<ExprPtr> outer_keys, std::vector<ExprPtr> inner_keys,
+                   ExprPtr residual, JoinBuildSide build = JoinBuildSide::kInner);
 
   Status Init() override;
   Result<bool> Next(Row* out) override;
   const Schema& OutputSchema() const override { return schema_; }
 
  private:
-  Result<std::string> EncodeKeys(const std::vector<ExprPtr>& exprs, const Row& row);
+  /// Encodes `row`'s key; false when a key value is NULL.
+  Result<bool> EncodeKeys(const std::vector<ExprPtr>& exprs, const Row& row,
+                          std::string* key);
 
   ExecContext* ctx_;
-  ExecutorPtr left_, right_;
-  std::vector<ExprPtr> left_keys_, right_keys_;
+  ExecutorPtr outer_, inner_;
+  std::vector<ExprPtr> outer_keys_, inner_keys_;
   ExprPtr residual_;
+  JoinBuildSide build_;
   Schema schema_;
 
-  std::unordered_multimap<std::string, Row> build_;
+  JoinHashTable table_;
   Row probe_row_;
-  bool probe_valid_ = false;
-  std::pair<std::unordered_multimap<std::string, Row>::iterator,
-            std::unordered_multimap<std::string, Row>::iterator>
-      matches_;
+  uint32_t match_ = JoinHashTable::kEnd;  ///< next build row for probe_row_
 };
 
 /// Merge-style band join over two sorted inputs: the outer rows carry ranges
@@ -103,8 +150,8 @@ class HashJoinExecutor final : public Executor {
 /// the optimizer wrongly prefers over INLJ when it ignores data properties
 /// (§3 "Query hints"): it must read the *entire* inner input even when the
 /// outer ranges are highly selective.
-/// batch: opt-out — joins are row-at-a-time (see
-/// IndexNestedLoopJoinExecutor).
+/// batch: opt-out — row operator for now, like IndexNestedLoopJoinExecutor;
+/// the planner drops both inputs to rows.
 class BandMergeJoinExecutor final : public Executor {
  public:
   BandMergeJoinExecutor(ExecContext* ctx, ExecutorPtr outer, ExecutorPtr inner,

@@ -302,6 +302,13 @@ class PlanBuilder {
     plan->bexec = nullptr;
   }
 
+  /// The reverse of EnsureRows: lifts a row-mode subplan into batch mode
+  /// through a transparent BatchFromRowAdapter. No-op for batch-mode plans.
+  static void EnsureBatch(SubPlan* plan) {
+    if (plan->exec == nullptr) return;
+    plan->bexec = std::make_unique<BatchFromRowAdapter>(std::move(plan->exec));
+  }
+
   Status AnalyzePrereqs();
   std::vector<size_t> ChooseJoinOrder() const;
   double EstimateRows(size_t r) const;
@@ -762,9 +769,6 @@ Result<SubPlan> PlanBuilder::AccessPath(size_t r, std::vector<int>* local_to_pla
     plan.note = Note(std::move(label), std::move(plan.note));
     Decorate(&plan, EstimateRows(r));
   }
-  // Joins are row-at-a-time operators: when this relation feeds a join, fall
-  // back to the Volcano engine at the access-path boundary.
-  if (q_->relations.size() > 1) EnsureRows(&plan);
   return plan;
 }
 
@@ -946,6 +950,10 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
                          !q_->hints.hash_join &&
                          (q_->hints.loop_join || cost_prefers_inlj);
 
+  // A hash join builds on the input with the smaller estimate (ties keep
+  // the inner), judged before this join's fanout is applied.
+  const bool build_outer = outer_est_ < inner_rows_est;
+
   // Estimated output cardinality of this join (FK-style fanout from the
   // inner's join-column distinct count when statistics exist).
   {
@@ -1054,6 +1062,7 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
         }
       }
     }
+    EnsureRows(plan);
     ExplainPtr outer_note = std::move(plan->note);
     plan->exec = std::make_unique<IndexNestedLoopJoinExecutor>(
         ctx_, std::move(plan->exec), rel.table,
@@ -1070,6 +1079,8 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     // filter on that scan via AccessPath.
     std::vector<int> inner_map;
     ELE_ASSIGN_OR_RETURN(SubPlan inner, AccessPath(r, &inner_map));
+    EnsureRows(plan);
+    EnsureRows(&inner);
     // Outer must be sorted by the band's lower bound; skip the sort when
     // that bound is a provably-ordered column of the outer stream (always
     // true for §2.2.2 c-table chains, whose band joins preserve f-order).
@@ -1180,14 +1191,43 @@ Status PlanBuilder::JoinNext(size_t r, SubPlan* plan) {
     consumed_[i] = true;
   }
   ExprPtr resid = ConjoinAll(std::move(residual));
-  // Probe-side order is preserved by the hash join (plan->ordered keeps the
-  // outer positions, which do not move).
-  const std::string label =
-      lkeys.empty() ? "NestedProduct (no join keys)" : "HashJoin build=" + rel.alias;
+  // The probe side's order is preserved. Building on the outer makes the
+  // inner the probe stream, so outer order no longer holds.
+  if (build_outer) {
+    plan->ordered.clear();
+    for (size_t pos : inner.ordered) plan->ordered.insert(outer_width + pos);
+  }
+  std::string label = "NestedProduct (no join keys)";
+  if (!lkeys.empty()) {
+    label = "HashJoin build=";
+    if (build_outer) {
+      std::string aliases;
+      for (size_t x : joined_) {
+        if (x == r) continue;
+        aliases += (aliases.empty() ? "" : "+") + q_->relations[x].alias;
+      }
+      label += aliases;
+    } else {
+      label += rel.alias;
+    }
+  }
+  const JoinBuildSide side =
+      build_outer ? JoinBuildSide::kOuter : JoinBuildSide::kInner;
   ExplainPtr outer_note = std::move(plan->note);
-  plan->exec = std::make_unique<HashJoinExecutor>(
-      ctx_, std::move(plan->exec), std::move(inner.exec), std::move(lkeys),
-      std::move(rkeys), std::move(resid));
+  if (batch_on()) {
+    // Row-mode inputs (derived tables, INLJ or band-merge outputs) are
+    // lifted into batches; the join and everything above it stay batched.
+    EnsureBatch(plan);
+    EnsureBatch(&inner);
+    plan->bexec = std::make_unique<BatchHashJoinExecutor>(
+        std::move(plan->bexec), std::move(inner.bexec), std::move(lkeys),
+        std::move(rkeys), std::move(resid), side);
+    label += " [batch]";
+  } else {
+    plan->exec = std::make_unique<HashJoinExecutor>(
+        ctx_, std::move(plan->exec), std::move(inner.exec), std::move(lkeys),
+        std::move(rkeys), std::move(resid), side);
+  }
   plan->note = Note(label, std::move(outer_note), std::move(inner.note));
   Decorate(plan, outer_est_);
   plan->width = outer_width + inner.width;

@@ -28,9 +28,13 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> fn) {
+  Enqueue(Task{std::move(fn), nullptr});
+}
+
+void ThreadPool::Enqueue(Task task) {
   {
     MutexLock lock(mu_);
-    queue_.push_back(std::move(fn));
+    queue_.push_back(std::move(task));
   }
   cv_.NotifyOne();
 }
@@ -73,12 +77,12 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     }
     // Drain remaining tasks even when stopping, so futures never dangle.
     if (queue_.empty()) break;
-    std::function<void()> task = std::move(queue_.front());
+    Task task = std::move(queue_.front());
     queue_.pop_front();
     active_++;
     mu_.Unlock();
     const auto start = std::chrono::steady_clock::now();
-    task();
+    task.run();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -86,6 +90,13 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     active_--;
     busy_seconds_ += seconds;
     executed_++;
+    if (task.publish) {
+      // Counters first, result second: whoever wakes on the result already
+      // sees this task counted.
+      mu_.Unlock();
+      task.publish();
+      mu_.Lock();
+    }
   }
   mu_.Unlock();
 }

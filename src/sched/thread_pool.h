@@ -1,8 +1,10 @@
 #pragma once
 
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -36,13 +38,18 @@ class ThreadPool {
   void Submit(std::function<void()> fn);
 
   /// Enqueues a callable and returns a future for its result (exceptions
-  /// propagate through the future).
+  /// propagate through the future). The future becomes ready only after the
+  /// pool has counted the task, so a caller that has seen it ready also sees
+  /// the task in tasks_executed() and BusySeconds().
   template <typename F>
   auto Async(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    Submit([task]() { (*task)(); });
+    auto result = std::make_shared<std::future<R>>(task->get_future());
+    auto promise = std::make_shared<std::promise<R>>();
+    std::future<R> fut = promise->get_future();
+    Enqueue(Task{[task] { (*task)(); },
+                 [result, promise] { Forward(std::move(*result), promise.get()); }});
     return fut;
   }
 
@@ -67,12 +74,35 @@ class ThreadPool {
   static size_t DefaultThreads();
 
  private:
+  /// A queued unit of work: `run` is the timed part; `publish` (may be
+  /// empty) makes its result visible and runs after the counters are bumped.
+  struct Task {
+    std::function<void()> run;
+    std::function<void()> publish;
+  };
+
+  void Enqueue(Task task);
   void WorkerLoop(size_t worker_index);
+
+  /// Moves a finished task's value or exception into the caller's promise.
+  template <typename R>
+  static void Forward(std::future<R> from, std::promise<R>* to) {
+    try {
+      if constexpr (std::is_void_v<R>) {
+        from.get();
+        to->set_value();
+      } else {
+        to->set_value(from.get());
+      }
+    } catch (...) {
+      to->set_exception(std::current_exception());
+    }
+  }
 
   const std::string name_;
   mutable Mutex mu_{LockRank::kScheduler, "ThreadPool::mu_"};
   CondVar cv_;
-  std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
+  std::deque<Task> queue_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   uint64_t executed_ GUARDED_BY(mu_) = 0;
   size_t active_ GUARDED_BY(mu_) = 0;

@@ -13,11 +13,12 @@ namespace {
 
 /// Differential identity harness for the vectorized engine: every query runs
 /// three ways — Volcano (NO_BATCH), batch serial, and batch PARALLEL 4 — and
-/// the results must be byte-identical. A randomized generator sweeps plan
+/// the results must be byte-identical. Randomized generators sweep plan
 /// shapes (filters, projections, both aggregate kinds, DISTINCT, ORDER BY,
-/// LIMIT); fixed regression queries pin shapes the sweep once diverged on or
-/// that are structurally interesting (batch-boundary groups, LIMIT over
-/// Gather, scalar aggregates over empty inputs).
+/// LIMIT, two-table hash joins); fixed regression queries pin shapes the
+/// sweep once diverged on or that are structurally interesting
+/// (batch-boundary groups, LIMIT over Gather, scalar aggregates over empty
+/// inputs, hash joins built on either side).
 class BatchIdentityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -53,6 +54,62 @@ class BatchIdentityTest : public ::testing::Test {
     }
     ASSERT_TRUE(db_->Execute("INSERT INTO t VALUES " + multi).ok());
     ASSERT_TRUE(db_->Execute("CREATE INDEX t_grp ON t (grp) INCLUDE (a)").ok());
+    // Join inputs. jl (300 rows) and jr (1200 rows) share a key column jk
+    // with duplicates on both sides and NULLs sprinkled into each; their
+    // strings are too long for the small-string buffer, so a value moved
+    // out of a row that is still needed shows up as an empty string; jfan is
+    // 1500 rows of one key (a build side past the batch size whose key
+    // matches more rows than one output batch holds); jbig is a large probe
+    // side; jdim a small dimension; jempty has no rows.
+    const std::vector<std::string> ddl = {
+        "CREATE TABLE jl (id INT, jk INT, v INT, tag VARCHAR) CLUSTER BY (id)",
+        "CREATE TABLE jr (id INT, jk INT, w INT, note VARCHAR) CLUSTER BY (id)",
+        "CREATE TABLE jfan (id INT, jk INT) CLUSTER BY (id)",
+        "CREATE TABLE jbig (id INT, jk INT, tag VARCHAR) CLUSTER BY (id)",
+        "CREATE TABLE jdim (jk INT, name VARCHAR) CLUSTER BY (jk)",
+        "CREATE TABLE jempty (id INT, jk INT) CLUSTER BY (id)"};
+    for (const std::string& sql : ddl) ASSERT_TRUE(db_->Execute(sql).ok()) << sql;
+    auto fill = [](const std::string& table, int n, auto row) {
+      std::string values;
+      for (int i = 0; i < n; i++) values += (i == 0 ? "(" : ", (") + row(i) + ")";
+      ASSERT_TRUE(db_->Execute("INSERT INTO " + table + " VALUES " + values).ok())
+          << table;
+    };
+    auto num = [](int i) { return std::to_string(i); };
+    fill("jl", kJl, [&](int i) {
+      return num(i) + ", " + (JlKey(i) < 0 ? "NULL" : num(JlKey(i))) + ", " +
+             num(i) + ", 'left row number " + num(i) + "'";
+    });
+    fill("jr", kJr, [&](int i) {
+      return num(i) + ", " + (JrKey(i) < 0 ? "NULL" : num(JrKey(i))) + ", " +
+             num(i * 3) + ", 'right row number " + num(i) + "'";
+    });
+    fill("jfan", 1500, [&](int i) { return num(i) + ", 5"; });
+    fill("jbig", 4000, [&](int i) {
+      return num(i) + ", " + num(i % 50) + ", 'probe row number " + num(i) + "'";
+    });
+    fill("jdim", 23, [&](int i) { return num(i) + ", 'd" + num(i) + "'"; });
+  }
+  static constexpr int kJl = 300;
+  static constexpr int kJr = 1200;
+  /// Join keys of jl / jr row i; -1 stands for NULL.
+  static int JlKey(int i) { return i % 10 == 0 ? -1 : i % 17; }
+  static int JrKey(int i) { return i % 9 == 0 ? -1 : i % 23; }
+
+  /// The EXPLAIN text of `sql` under the default (batch) engine.
+  static std::string Plan(const std::string& sql) {
+    auto p = db_->Explain(sql);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    return p.ok() ? p.value() : "";
+  }
+
+  /// ExpectIdentical for a join query whose plan must contain `label`
+  /// (e.g. which side the hash join builds on).
+  static void ExpectJoinIdentical(const std::string& sql,
+                                  const std::string& label) {
+    const std::string plan = Plan(sql);
+    EXPECT_NE(plan.find(label), std::string::npos) << sql << "\n" << plan;
+    ExpectIdentical(sql);
   }
   static void TearDownTestSuite() {
     delete db_;
@@ -217,6 +274,137 @@ TEST_F(BatchIdentityTest, ErrorParity) {
   ExpectIdentical("SELECT k FROM t WHERE a <> 0 AND 100 / a > 1");
 }
 
+// ---------- hash joins ----------
+
+TEST_F(BatchIdentityTest, HashJoinBuildInner) {
+  // jr (1200) is the outer, jl (300) the smaller inner: build on the inner.
+  ExpectJoinIdentical(
+      "/*+ FORCE_ORDER */ SELECT jr.id, jr.jk, jr.note, jl.id, jl.tag FROM jr, jl "
+      "WHERE jr.jk = jl.jk",
+      "HashJoin build=JL [batch]");
+}
+
+TEST_F(BatchIdentityTest, HashJoinBuildOuter) {
+  // jl is the outer and the smaller input: build on the outer, probe with
+  // jr. Columns stay outer ++ inner.
+  ExpectJoinIdentical(
+      "/*+ FORCE_ORDER */ SELECT * FROM jl, jr WHERE jl.jk = jr.jk",
+      "HashJoin build=JL [batch]");
+  ExpectJoinIdentical(
+      "/*+ FORCE_ORDER */ SELECT jr.w, jl.v FROM jl, jr "
+      "WHERE jl.jk = jr.jk AND jr.w > 600",
+      "HashJoin build=JL [batch]");
+}
+
+TEST_F(BatchIdentityTest, HashJoinNullAndDuplicateKeys) {
+  // Duplicate keys on both sides make an N:M join; NULL keys on either side
+  // never match.
+  int64_t expected = 0;
+  for (int i = 0; i < kJl; i++) {
+    for (int j = 0; j < kJr; j++) {
+      if (JlKey(i) >= 0 && JlKey(i) == JrKey(j)) expected++;
+    }
+  }
+  for (const char* order : {"jl, jr", "jr, jl"}) {
+    const std::string sql = std::string("/*+ FORCE_ORDER */ SELECT COUNT(*) FROM ") +
+                            order + " WHERE jl.jk = jr.jk";
+    auto r = db_->Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().rows[0][0].AsInt64(), expected) << sql;
+    ExpectIdentical(sql);
+    ExpectIdentical(std::string("/*+ FORCE_ORDER */ SELECT jl.tag, jr.note FROM ") +
+                    order + " WHERE jl.jk = jr.jk");
+  }
+}
+
+TEST_F(BatchIdentityTest, HashJoinEmptyBuildAndProbe) {
+  // Empty build side: jl's filter is estimated at half of jl, below jr,
+  // but keeps no row.
+  ExpectJoinIdentical(
+      "SELECT jl.id, jr.id FROM jl, jr WHERE jl.jk = jr.jk AND jl.id + 0 < 0",
+      "HashJoin build=JL [batch]");
+  // Empty probe side: jr's filter keeps nothing; jl is still built.
+  ExpectJoinIdentical(
+      "/*+ FORCE_ORDER */ SELECT jl.id, jr.id FROM jr, jl "
+      "WHERE jl.jk = jr.jk AND jr.id + 0 < 0",
+      "HashJoin build=JL [batch]");
+  // A table with no rows at all, on either side, and a scalar aggregate.
+  ExpectIdentical("SELECT jl.id FROM jl, jempty WHERE jl.jk = jempty.jk");
+  ExpectIdentical(
+      "/*+ FORCE_ORDER */ SELECT COUNT(*) FROM jempty, jl "
+      "WHERE jl.jk = jempty.jk");
+}
+
+TEST_F(BatchIdentityTest, HashJoinResidualOverBothSides) {
+  ExpectJoinIdentical(
+      "/*+ FORCE_ORDER */ SELECT jl.id, jr.id, jr.w - jl.v FROM jl, jr "
+      "WHERE jl.jk = jr.jk AND jl.v * 4 > jr.w",
+      "HashJoin build=JL [batch]");
+  ExpectJoinIdentical(
+      "/*+ FORCE_ORDER */ SELECT jl.id, jr.id FROM jr, jl "
+      "WHERE jl.jk = jr.jk AND (jl.v < 20 OR jr.w + jl.v > 3500)",
+      "HashJoin build=JL [batch]");
+}
+
+TEST_F(BatchIdentityTest, HashJoinProbeRowOverflowsOneBatch) {
+  // jbig (4000 rows, filter estimated at half) probes jfan (1500 rows, all
+  // key 5), so jfan is the build side past one batch, and each probe row
+  // with key 5 matches 1500 build rows: its output splits across batches.
+  const std::string sql =
+      "SELECT jbig.tag, jfan.id FROM jbig, jfan "
+      "WHERE jbig.jk = jfan.jk AND jbig.id + 0 < 60";
+  ExpectJoinIdentical(sql, "HashJoin build=JFAN [batch]");
+  auto r = db_->Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().rows.size(), 2u * 1500u);  // jbig ids 5 and 55
+  // The same with a residual that drops whole output batches.
+  ExpectIdentical(
+      "SELECT jbig.id, jfan.id FROM jbig, jfan "
+      "WHERE jbig.jk = jfan.jk AND jbig.id + 0 < 60 AND jfan.id >= 1400");
+  // Build on the outer: jfan first and smaller than jbig.
+  ExpectJoinIdentical(
+      "/*+ FORCE_ORDER */ SELECT COUNT(*), SUM(jbig.id), MAX(jfan.id) "
+      "FROM jfan, jbig WHERE jfan.jk = jbig.jk",
+      "HashJoin build=JFAN [batch]");
+}
+
+TEST_F(BatchIdentityTest, HashJoinThreeWayQ7Shape) {
+  // Figure-2 Q7 shape: dimension ⋈ fact ⋈ filtered fact, then a grouped
+  // aggregate above the joins.
+  ExpectIdentical(
+      "SELECT jdim.name, COUNT(*), SUM(jl.v), SUM(jr.w) FROM jdim, jr, jl "
+      "WHERE jdim.jk = jr.jk AND jr.jk = jl.jk AND jl.v > 20 "
+      "GROUP BY jdim.name");
+  ExpectIdentical(
+      "/*+ FORCE_ORDER HASH_JOIN */ SELECT jdim.name, jr.id, jl.id "
+      "FROM jdim, jr, jl WHERE jdim.jk = jr.jk AND jr.jk = jl.jk "
+      "AND jl.v > 250");
+}
+
+TEST_F(BatchIdentityTest, KeylessCrossProduct) {
+  ExpectJoinIdentical(
+      "SELECT jl.id, jdim.name FROM jl, jdim WHERE jl.id < 7",
+      "NestedProduct (no join keys) [batch]");
+  ExpectJoinIdentical(
+      "SELECT jl.id, jdim.jk FROM jl, jdim WHERE jl.id < 50 AND jl.v > jdim.jk",
+      "NestedProduct (no join keys) [batch]");
+}
+
+TEST_F(BatchIdentityTest, HashJoinErrorParity) {
+  // jr row 1 has w = 3 and key 1, which matches jl rows: the residual
+  // divides by zero in every engine, whichever side is built.
+  ExpectIdentical(
+      "/*+ FORCE_ORDER */ SELECT jl.id FROM jl, jr "
+      "WHERE jl.jk = jr.jk AND jl.v / (jr.w - 3) > 1");
+  ExpectIdentical(
+      "/*+ FORCE_ORDER */ SELECT jl.id FROM jr, jl "
+      "WHERE jl.jk = jr.jk AND jl.v / (jr.w - 3) > 1");
+  auto r = db_->Execute(
+      "/*+ FORCE_ORDER */ SELECT jl.id FROM jl, jr "
+      "WHERE jl.jk = jr.jk AND jl.v / (jr.w - 3) > 1");
+  EXPECT_FALSE(r.ok());
+}
+
 // ---------- randomized differential sweep ----------
 
 TEST_F(BatchIdentityTest, RandomizedDifferentialSweep) {
@@ -271,6 +459,54 @@ TEST_F(BatchIdentityTest, RandomizedDifferentialSweep) {
     checked++;
   }
   EXPECT_EQ(checked, 60);
+}
+
+TEST_F(BatchIdentityTest, RandomizedTwoTableSweep) {
+  // Two-table joins of jl and jr in either order, with local filters that
+  // move the build side, optional residuals over both sides, and raw or
+  // aggregated output.
+  Rng rng(20261020);
+  const char* cmps[] = {"=", "<>", "<", "<=", ">", ">="};
+  auto cmp = [&] { return cmps[rng.Uniform(0, 5)]; };
+  int checked = 0;
+  for (int q = 0; q < 40; q++) {
+    const bool jl_first = rng.Uniform(0, 1) == 0;
+    std::string where = "jl.jk = jr.jk";
+    if (rng.Uniform(0, 1) == 0) {
+      where += " AND jl.v " + std::string(cmp()) + " " +
+               std::to_string(rng.Uniform(0, 300));
+    }
+    if (rng.Uniform(0, 1) == 0) {
+      where += " AND jr.w " + std::string(cmp()) + " " +
+               std::to_string(rng.Uniform(0, 3600));
+    }
+    if (rng.Uniform(0, 2) == 0) {
+      where += " AND jl.v + jr.w " + std::string(cmp()) + " " +
+               std::to_string(rng.Uniform(0, 3600));
+    }
+    std::string sql = jl_first || rng.Uniform(0, 1) == 0
+                          ? "/*+ FORCE_ORDER */ "
+                          : "";
+    const int shape = static_cast<int>(rng.Uniform(0, 2));
+    if (shape == 0) {
+      sql += "SELECT jl.id, jr.id, jl.v + jr.w";
+    } else if (shape == 1) {
+      sql += "SELECT jl.jk, COUNT(*), SUM(jr.w), MIN(jl.v)";
+    } else {
+      sql += "SELECT COUNT(*), MAX(jr.id), AVG(jl.v)";
+    }
+    sql += std::string(" FROM ") + (jl_first ? "jl, jr" : "jr, jl") +
+           " WHERE " + where;
+    if (shape == 1) sql += " GROUP BY jl.jk";
+    if (rng.Uniform(0, 2) == 0) sql += " ORDER BY 1";
+    if (rng.Uniform(0, 3) == 0) {
+      sql += " LIMIT " + std::to_string(rng.Uniform(0, 40));
+    }
+    SCOPED_TRACE(sql);
+    ExpectIdentical(sql);
+    checked++;
+  }
+  EXPECT_EQ(checked, 40);
 }
 
 }  // namespace

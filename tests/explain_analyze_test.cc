@@ -155,6 +155,54 @@ TEST_F(ExplainAnalyzeTest, OperatorIoSumsToQueryIo) {
   }
 }
 
+/// The same invariants over a batch hash join, built on either input, with
+/// the batch aggregate above it: Σ operator self pages = the query's
+/// IoStats, and the per-object heatmap = the global disk/pool counters.
+TEST_F(ExplainAnalyzeTest, BatchHashJoinIoReconciles) {
+  const std::string queries[] = {
+      // small first and smaller: the outer is built.
+      "SELECT label, COUNT(*) FROM big, small WHERE fk = small.id "
+      "GROUP BY label",
+      // big forced first: the inner (small) is built.
+      "/*+ FORCE_ORDER HASH_JOIN */ SELECT label, COUNT(*) FROM big, small "
+      "WHERE fk = small.id GROUP BY label",
+  };
+  for (const std::string& sql : queries) {
+    db_->heatmap().Reset();
+    db_->disk().ResetStats();
+    db_->pool().ResetStats();
+    db_->options().cold_cache = true;
+    auto r = db_->ExplainAnalyze(sql);
+    db_->options().cold_cache = false;
+    ASSERT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+    const std::string& text = r.value().text;
+    EXPECT_NE(text.find("HashJoin build=SMALL [batch]"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("HashAggregate [batch]"), std::string::npos) << text;
+    const QueryResult& qr = r.value().result;
+    ASSERT_EQ(qr.rows.size(), 20u);
+    ASSERT_NE(qr.plan, nullptr);
+    uint64_t seq = 0, rand = 0, misses = 0;
+    for (const obs::OperatorBreakdown& op : obs::FlattenPlan(*qr.plan)) {
+      seq += op.seq_reads;
+      rand += op.rand_reads;
+      misses += op.pool_misses;
+    }
+    EXPECT_GT(qr.io.TotalReads(), 0u) << sql;
+    EXPECT_EQ(seq, qr.io.sequential_reads) << sql << "\n" << text;
+    EXPECT_EQ(rand, qr.io.random_reads) << sql << "\n" << text;
+    EXPECT_EQ(misses, qr.io.TotalReads()) << sql << "\n" << text;
+    const obs::ObjectIoStats total = db_->heatmap().Total();
+    const IoStats disk = db_->disk().stats();
+    const BufferPoolStats pool = db_->pool().stats();
+    EXPECT_EQ(total.sequential_reads, disk.sequential_reads) << sql;
+    EXPECT_EQ(total.random_reads, disk.random_reads) << sql;
+    EXPECT_EQ(total.page_writes, disk.page_writes) << sql;
+    EXPECT_EQ(total.pool_hits, pool.hits) << sql;
+    EXPECT_EQ(total.pool_faults, pool.misses) << sql;
+  }
+}
+
 TEST_F(ExplainAnalyzeTest, BandJoinPlanIsAnnotated) {
   auto r = db_->ExplainAnalyze(
       "SELECT COUNT(*) FROM ranges, big WHERE big.k BETWEEN ranges.lo AND "

@@ -82,13 +82,44 @@ TEST_F(PlannerTest, SmallestFilteredRelationGoesFirst) {
   // small (20 rows) starts the join unless FORCE_ORDER overrides.
   const std::string plan =
       Plan("SELECT COUNT(*) FROM big, small WHERE fk = small.id");
-  // The leaf at the deepest indentation is the first relation scanned.
+  // The outer is the join's first child, so SMALL's scan is printed before
+  // BIG's.
   const size_t small_pos = plan.find("SMALL as SMALL");
+  const size_t big_pos = plan.find("BIG as BIG");
   ASSERT_NE(small_pos, std::string::npos) << plan;
-  // With small as outer, big is the join's inner/build side.
-  const bool big_inner = plan.find("inner=BIG") != std::string::npos ||
-                         plan.find("build=BIG") != std::string::npos;
-  EXPECT_TRUE(big_inner) << plan;
+  ASSERT_NE(big_pos, std::string::npos) << plan;
+  EXPECT_LT(small_pos, big_pos) << plan;
+  // The hash table is built on the smaller input: SMALL, not BIG.
+  EXPECT_NE(plan.find("HashJoin build=SMALL"), std::string::npos) << plan;
+}
+
+TEST_F(PlannerTest, HashJoinBuildSideFollowsEstimatesNotJoinOrder) {
+  // Whichever relation FORCE_ORDER puts first, the hash table is built on
+  // the smaller estimate: SMALL is the inner when BIG goes first and the
+  // outer when it goes first itself. Output columns keep the outer ++ inner
+  // order, so both plans return the unforced plan's rows.
+  const std::string where = " WHERE fk = small.id ORDER BY k";
+  auto free_order = db_->Execute("SELECT k, label FROM big, small" + where);
+  ASSERT_TRUE(free_order.ok()) << free_order.status().ToString();
+  ASSERT_EQ(free_order.value().rows.size(), 400u);
+  const std::string orders[] = {"big, small", "small, big"};
+  for (const std::string& from : orders) {
+    const std::string sql =
+        "/*+ FORCE_ORDER HASH_JOIN */ SELECT k, label FROM " + from + where;
+    const std::string plan = Plan(sql);
+    const bool big_first = from == "big, small";
+    EXPECT_EQ(plan.find("BIG as BIG") < plan.find("SMALL as SMALL"), big_first)
+        << plan;
+    EXPECT_NE(plan.find("HashJoin build=SMALL"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("build=BIG"), std::string::npos) << plan;
+    auto forced = db_->Execute(sql);
+    ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+    ASSERT_EQ(forced.value().rows.size(), 400u);
+    for (size_t i = 0; i < 400; i++) {
+      EXPECT_TRUE(forced.value().rows[i] == free_order.value().rows[i])
+          << from << " row " << i;
+    }
+  }
 }
 
 TEST_F(PlannerTest, BandPredicateWithoutHintsUsesMergeNotProduct) {
