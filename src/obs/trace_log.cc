@@ -11,6 +11,7 @@ namespace {
 
 thread_local int t_session_id = -1;
 thread_local uint64_t t_current_span = 0;
+thread_local uint32_t t_track_id = 0;  // 0 = not assigned yet
 
 uint32_t AssignThreadTrackId() {
   static std::atomic<uint32_t> next{0};
@@ -56,9 +57,11 @@ TraceLog& TraceLog::Global() {
 }
 
 uint32_t TraceLog::CurrentThreadTrackId() {
-  thread_local uint32_t id = AssignThreadTrackId();
-  return id;
+  if (t_track_id == 0) t_track_id = AssignThreadTrackId();
+  return t_track_id;
 }
+
+void TraceLog::AdoptThreadTrack(uint32_t track_id) { t_track_id = track_id; }
 
 void TraceLog::Clear() {
   MutexLock lock(mu_);
@@ -102,9 +105,11 @@ void TraceLog::Instant(const char* name, const char* cat, TraceArgs args) {
   Emit(std::move(ev));
 }
 
-void TraceLog::SetCurrentThreadName(const std::string& name) {
+uint32_t TraceLog::NewThreadTrack(const std::string& name) {
+  const uint32_t id = AssignThreadTrackId();
   MutexLock lock(mu_);
-  thread_names_[CurrentThreadTrackId()] = name;
+  thread_names_[id] = name;
+  return id;
 }
 
 std::vector<TraceEvent> TraceLog::Snapshot() const {

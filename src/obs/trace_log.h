@@ -77,8 +77,15 @@ class TraceLog {
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Names the calling thread's track in the exported trace.
-  void SetCurrentThreadName(const std::string& name);
+  /// Reserves a fresh track named `name` in the exported trace for a thread
+  /// that claims it with AdoptThreadTrack. A pool names its workers from the
+  /// spawning thread this way, so workers that start together never queue on
+  /// mu_ (a new thread's first allocation is slow, and the rest would park).
+  uint32_t NewThreadTrack(const std::string& name);
+
+  /// Makes `track_id` (from NewThreadTrack) the calling thread's track. Call
+  /// before the thread's first CurrentThreadTrackId().
+  static void AdoptThreadTrack(uint32_t track_id);
 
   std::vector<TraceEvent> Snapshot() const;
   size_t EventCount() const;

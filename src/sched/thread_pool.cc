@@ -14,7 +14,12 @@ ThreadPool::ThreadPool(size_t num_threads, std::string name)
   if (num_threads == 0) num_threads = 1;
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; i++) {
-    threads_.emplace_back([this, i]() { WorkerLoop(i); });
+    const uint32_t track = obs::TraceLog::Global().NewThreadTrack(
+        name_ + "-" + std::to_string(i));
+    threads_.emplace_back([this, track]() {
+      obs::TraceLog::AdoptThreadTrack(track);
+      WorkerLoop();
+    });
   }
 }
 
@@ -64,9 +69,7 @@ size_t ThreadPool::DefaultThreads() {
   return std::clamp<size_t>(hw == 0 ? 4 : hw, 2, 16);
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  obs::TraceLog::Global().SetCurrentThreadName(
-      name_ + "-" + std::to_string(worker_index));
+void ThreadPool::WorkerLoop() {
   mu_.Lock();
   while (true) {
     while (!stop_ && queue_.empty()) {

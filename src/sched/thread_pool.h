@@ -82,7 +82,7 @@ class ThreadPool {
   };
 
   void Enqueue(Task task);
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
 
   /// Moves a finished task's value or exception into the caller's promise.
   template <typename R>

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "benchlib/harness.h"
 
 namespace elephant {
@@ -35,6 +37,13 @@ struct QueryCase {
   std::string name;
   double selectivity;  // for the date parameter
 };
+
+// gtest's default GetParam() text dumps the struct's bytes, which include the
+// string's data pointer, so the test names ctest discovers would change with
+// every build. Print the fields instead.
+void PrintTo(const QueryCase& c, std::ostream* os) {
+  *os << c.name << " selectivity " << c.selectivity;
+}
 
 class AllStrategiesAgree : public PaperE2eTest,
                            public ::testing::WithParamInterface<QueryCase> {};

@@ -1,11 +1,14 @@
 #include <atomic>
 #include <cstring>
 #include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/trace_log.h"
 #include "sched/task_group.h"
 #include "sched/thread_pool.h"
 #include "storage/buffer_pool.h"
@@ -42,6 +45,37 @@ TEST(ThreadPoolTest, AsyncPropagatesExceptions) {
   sched::ThreadPool pool(2);
   auto fut = pool.Async([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+TEST(ThreadPoolTest, WorkerTraceTracksCarryPoolNames) {
+  // The pool names its workers' trace tracks before starting them; each
+  // worker must then record on the track reserved for it.
+  obs::TraceLog& log = obs::TraceLog::Global();
+  log.Clear();
+  log.Enable();
+  std::set<uint32_t> tracks;
+  {
+    sched::ThreadPool pool(2, "named");
+    std::vector<std::future<uint32_t>> futures;
+    for (int i = 0; i < 16; i++) {
+      futures.push_back(pool.Async([&log] {
+        log.Instant("probe", "test");
+        return obs::TraceLog::CurrentThreadTrackId();
+      }));
+    }
+    for (auto& f : futures) tracks.insert(f.get());
+  }
+  log.Disable();
+  const std::string json = log.ToJson();
+  log.Clear();
+  ASSERT_FALSE(tracks.empty());
+  for (uint32_t track : tracks) {
+    EXPECT_NE(track, obs::TraceLog::CurrentThreadTrackId());
+    EXPECT_NE(json.find("\"tid\":" + std::to_string(track) +
+                        ",\"args\":{\"name\":\"named-"),
+              std::string::npos)
+        << "track " << track << " unnamed in:\n" << json;
+  }
 }
 
 TEST(ThreadPoolTest, DefaultThreadsIsBounded) {
